@@ -7,6 +7,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> cargo build perfbench"
+# The repo benchmark is its own package (empty [workspace]), so the
+# workspace build never compiles it, yet it links serve/core/apps APIs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

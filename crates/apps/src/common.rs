@@ -36,24 +36,7 @@ pub fn launch_app_sink<F>(
 where
     F: Fn(&TaskCtx) + Send + Sync + 'static,
 {
-    launch_app_tuned(spec, options, phys_cap, sink, true, app)
-}
-
-/// [`launch_app_sink`] with explicit control over the engine's
-/// baton-handoff elision, for determinism checks that pin the fast path
-/// on or off. Virtual-time results must be identical either way.
-pub fn launch_app_tuned<F>(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    elide_handoff: bool,
-    app: F,
-) -> Result<RunSummary, SimError>
-where
-    F: Fn(&TaskCtx) + Send + Sync + 'static,
-{
-    let mut l = Launch::new(spec, options).elide_handoff(elide_handoff);
+    let mut l = Launch::new(spec, options);
     if let Some(cap) = phys_cap {
         l = l.phys_cap(cap);
     }

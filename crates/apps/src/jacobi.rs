@@ -16,7 +16,7 @@ use impacc_core::{HBuf, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_machine::{KernelCost, MachineSpec};
 use impacc_vtime::{SimError, SpanSink};
 
-use crate::common::{launch_app_tuned, math_ok, BlockPartition};
+use crate::common::{launch_app_sink, math_ok, BlockPartition};
 
 /// Jacobi workload parameters.
 #[derive(Clone, Debug)]
@@ -390,25 +390,12 @@ pub fn run_jacobi_sink(
     sink: Option<Arc<dyn SpanSink>>,
     params: JacobiParams,
 ) -> Result<RunSummary, SimError> {
-    run_jacobi_tuned(spec, options, phys_cap, sink, true, params)
-}
-
-/// [`run_jacobi_sink`] with explicit control over baton-handoff elision,
-/// for the determinism tests that pin the engine fast path on or off.
-pub fn run_jacobi_tuned(
-    spec: MachineSpec,
-    options: RuntimeOptions,
-    phys_cap: Option<u64>,
-    sink: Option<Arc<dyn SpanSink>>,
-    elide_handoff: bool,
-    params: JacobiParams,
-) -> Result<RunSummary, SimError> {
-    launch_app_tuned(spec, options, phys_cap, sink, elide_handoff, move |tc| {
+    launch_app_sink(spec, options, phys_cap, sink, move |tc| {
         jacobi_task(tc, &params)
     })
 }
 
-/// [`run_jacobi_tuned`] with a residual probe attached: rank 0 pushes
+/// [`run_jacobi_sink`] with a residual probe attached: rank 0 pushes
 /// every reduced residual into `probe`, giving the caller the exact
 /// convergence history the run computed.
 pub fn run_jacobi_probed(
@@ -416,11 +403,10 @@ pub fn run_jacobi_probed(
     options: RuntimeOptions,
     phys_cap: Option<u64>,
     sink: Option<Arc<dyn SpanSink>>,
-    elide_handoff: bool,
     params: JacobiParams,
     probe: ResProbe,
 ) -> Result<RunSummary, SimError> {
-    launch_app_tuned(spec, options, phys_cap, sink, elide_handoff, move |tc| {
+    launch_app_sink(spec, options, phys_cap, sink, move |tc| {
         jacobi_task_probed(tc, &params, Some(&probe))
     })
 }

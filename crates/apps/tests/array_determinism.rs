@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use impacc_apps::{launch_app, launch_app_tuned, run_jacobi_probed, JacobiParams};
+use impacc_apps::{launch_app, run_jacobi_probed, JacobiParams};
 use impacc_array::scenarios::{
     jacobi_array_task, redblack_task, stencil2d_task, stencil3d_task, ArrayJacobiParams,
     RedBlackParams, Stencil2dParams, Stencil3dParams,
@@ -72,7 +72,6 @@ fn array_jacobi_matches_handwritten_in_all_modes() {
             opts,
             None,
             None,
-            true,
             JacobiParams {
                 n: 24,
                 iters: 6,
@@ -84,24 +83,17 @@ fn array_jacobi_matches_handwritten_in_all_modes() {
 
         let arr_probe = ResProbe::new();
         let probe_in = arr_probe.clone();
-        let arr = launch_app_tuned(
-            presets::test_cluster(2, 2),
-            opts,
-            None,
-            None,
-            true,
-            move |tc| {
-                jacobi_array_task(
-                    tc,
-                    &ArrayJacobiParams {
-                        n: 24,
-                        iters: 6,
-                        verify: true,
-                    },
-                    Some(&probe_in),
-                )
-            },
-        )
+        let arr = launch_app(presets::test_cluster(2, 2), opts, None, move |tc| {
+            jacobi_array_task(
+                tc,
+                &ArrayJacobiParams {
+                    n: 24,
+                    iters: 6,
+                    verify: true,
+                },
+                Some(&probe_in),
+            )
+        })
         .expect("array jacobi");
 
         let h = hand_probe.take();
@@ -129,7 +121,6 @@ fn array_jacobi_matches_handwritten_under_phys_cap() {
         RuntimeOptions::impacc(),
         Some(4096),
         None,
-        true,
         JacobiParams {
             n: 256,
             iters: 4,
@@ -138,12 +129,10 @@ fn array_jacobi_matches_handwritten_under_phys_cap() {
         ResProbe::new(),
     )
     .expect("hand-written jacobi (capped)");
-    let arr = launch_app_tuned(
+    let arr = launch_app(
         presets::test_cluster(2, 2),
         RuntimeOptions::impacc(),
         Some(4096),
-        None,
-        true,
         move |tc| {
             jacobi_array_task(
                 tc,

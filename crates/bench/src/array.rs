@@ -140,7 +140,6 @@ pub fn smoke() -> String {
             opts,
             None,
             None,
-            true,
             JacobiParams {
                 n: 32,
                 iters: 5,

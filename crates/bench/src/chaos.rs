@@ -15,10 +15,10 @@
 //! a faulted run that finishes *is* a correctness result: the recovery
 //! paths delivered the right bytes, just later.
 
-use impacc_apps::math_ok;
-use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_apps::exchange;
+use impacc_core::{Launch, RunSummary, RuntimeOptions};
 use impacc_flight::{watchdog, FlightDump, FlightRecorder, Trigger, Watchdog};
-use impacc_machine::{presets, FaultPlan, KernelCost, MachineSpec};
+use impacc_machine::{presets, FaultPlan, MachineSpec};
 use impacc_obs::Recorder;
 
 use crate::util::{gbps, quick, Table};
@@ -36,47 +36,6 @@ pub fn single_node_spec() -> MachineSpec {
     let mut s = presets::psg();
     s.nodes[0].devices.truncate(2);
     s
-}
-
-fn exchange(tc: &TaskCtx, rounds: u32) {
-    let peer = 1 - tc.rank();
-    let me = tc.rank() as f64;
-    let buf0 = tc.malloc_f64(N);
-    let buf1 = tc.malloc_f64(N);
-    tc.acc_create(&buf0);
-    tc.acc_create(&buf1);
-    let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
-    for round in 0..rounds {
-        let produce = {
-            let d = tc.dev_view(&buf0);
-            let v = me + round as f64;
-            move || {
-                if math_ok(&d) {
-                    d.write_f64s(0, &vec![v; N]);
-                }
-            }
-        };
-        let consume = {
-            let d = tc.dev_view(&buf1);
-            let expect = peer as f64 + round as f64;
-            move || {
-                if math_ok(&d) {
-                    let got = d.read_f64s(0, N);
-                    assert!(
-                        got.iter().all(|&x| x == expect),
-                        "round {round}: corrupted payload after recovery"
-                    );
-                }
-            }
-        };
-        tc.acc_kernel(None, cost, produce);
-        tc.acc_update_host(&buf0, 0, buf0.len, None);
-        let sreq = tc.mpi_isend(&buf0, 0, buf0.len, peer, round as i32, MpiOpts::host());
-        tc.mpi_recv(&buf1, 0, buf1.len, peer, round as i32, MpiOpts::host());
-        sreq.wait(tc.ctx());
-        tc.acc_update_device(&buf1, 0, buf1.len, None);
-        tc.acc_kernel(None, cost, consume);
-    }
 }
 
 /// Run the chaos exchange on `spec` under an optional fault plan.
@@ -113,7 +72,8 @@ pub fn run_exchange_flight(
     if let Some(fr) = flight {
         l = l.flight(fr);
     }
-    l.run(move |tc| exchange(tc, rounds)).expect("chaos run")
+    l.run(move |tc| exchange(tc, N, rounds, 0))
+        .expect("chaos run")
 }
 
 fn metric(s: &RunSummary, key: &str) -> u64 {

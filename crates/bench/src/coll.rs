@@ -8,9 +8,9 @@
 //! run; the reported elapsed time is virtual, so the sweep is
 //! deterministic and byte-reproducible.
 
-use impacc_core::{CollAlgo, Launch, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_apps::allreduce_rounds;
+use impacc_core::{CollAlgo, Launch, RunSummary, RuntimeOptions};
 use impacc_machine::{presets, FaultPlan, MachineSpec};
-use impacc_mpi::ReduceOp;
 use impacc_obs::Recorder;
 
 use crate::util::{fmt_bytes, quick, Table};
@@ -21,23 +21,6 @@ pub fn coll_spec() -> MachineSpec {
     presets::test_cluster(2, 4)
 }
 
-/// `rounds` exact Sum-allreduces of `elems` f64s; every rank asserts the
-/// reduced vector (integer-valued contributions make all fold orders
-/// bit-identical).
-fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32) {
-    let size = tc.size();
-    for round in 0..rounds {
-        let vals = vec![(tc.rank() + round) as f64; elems];
-        let out = tc.mpi_allreduce_f64(&vals, ReduceOp::Sum);
-        let expect = (0..size).map(|r| (r + round) as f64).sum::<f64>();
-        assert!(
-            out.len() == elems && out.iter().all(|&x| x == expect),
-            "allreduce corrupted: got {:?}.., want {expect}",
-            &out[..1.min(out.len())]
-        );
-    }
-}
-
 /// Run the allreduce workload with one pinned registry algorithm
 /// (`None` lets the engine's selection policy decide).
 pub fn run_coll(algo: Option<CollAlgo>, elems: usize, rounds: u32) -> RunSummary {
@@ -45,7 +28,7 @@ pub fn run_coll(algo: Option<CollAlgo>, elems: usize, rounds: u32) -> RunSummary
     if let Some(a) = algo {
         l = l.coll_algo(a);
     }
-    l.run(move |tc| allreduce_rounds(tc, elems, rounds))
+    l.run(move |tc| allreduce_rounds(tc, elems, rounds, 0))
         .expect("coll run")
 }
 
@@ -62,12 +45,12 @@ pub fn run_coll_chaos(plan: Option<FaultPlan>, elide: bool, rec: Option<&Recorde
         l = l.recorder(rec);
     }
     l.run(|tc| {
-        allreduce_rounds(tc, 16, 2);
-        allreduce_rounds(tc, 1 << 14, 1);
+        allreduce_rounds(tc, 16, 2, 0);
+        allreduce_rounds(tc, 1 << 14, 1, 0);
         let sub = tc.mpi_comm_split((tc.rank() % 2) as i64, tc.rank() as i64);
         assert_eq!(sub.size(), tc.size() / 2);
         tc.mpi_barrier();
-        allreduce_rounds(tc, 256, 1);
+        allreduce_rounds(tc, 256, 1, 0);
         tc.mpi_barrier();
     })
     .expect("coll chaos run")

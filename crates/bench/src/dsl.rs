@@ -182,7 +182,6 @@ pub fn smoke() -> String {
             opts,
             None,
             None,
-            true,
             JacobiParams {
                 n: 32,
                 iters: 5,

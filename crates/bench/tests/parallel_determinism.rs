@@ -9,7 +9,7 @@
 //! traffic (the mailbox + lookahead-clamp machinery) is actually
 //! exercised; single-node specs would never leave one partition.
 
-use impacc_apps::{run_jacobi_tuned, JacobiParams};
+use impacc_apps::{run_jacobi_sink, JacobiParams};
 use impacc_bench::specs::titan_tasks;
 use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions};
 use impacc_machine::KernelCost;
@@ -73,12 +73,11 @@ fn jacobi_is_bit_identical_across_impacc_parallel() {
     let run = |degree: usize| -> Observed {
         std::env::set_var("IMPACC_PARALLEL", degree.to_string());
         let rec = Recorder::new();
-        let s = run_jacobi_tuned(
+        let s = run_jacobi_sink(
             titan_tasks(4),
             RuntimeOptions::impacc(),
             Some(4096),
             Some(rec.sink()),
-            true,
             JacobiParams {
                 n: 256,
                 iters: 8,

@@ -81,7 +81,6 @@ fn dsl_jacobi_matches_handwritten_in_all_modes() {
             opts,
             None,
             None,
-            true,
             JacobiParams {
                 n: 24,
                 iters: 6,

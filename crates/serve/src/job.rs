@@ -201,10 +201,6 @@ pub struct JobSpec {
     pub prof: bool,
     /// Scheduling lane; not part of the key.
     pub priority: Priority,
-    /// Force engine baton-handoff elision on/off (`None` = engine
-    /// default). Elision is bit-identical by contract (the fastpath
-    /// determinism suite), so this is not part of the key either.
-    pub elide: Option<bool>,
     /// Correlation id of the owning campaign (`""` = standalone job).
     /// Pure observability — it tags the job's spans, heartbeat rows and
     /// `FLIGHT_*.json` dumps but can never change the result, so it is
@@ -234,7 +230,6 @@ impl Default for JobSpec {
             fail_device: Vec::new(),
             prof: false,
             priority: Priority::Normal,
-            elide: None,
             campaign: String::new(),
         }
     }
@@ -245,24 +240,50 @@ fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
         .map_err(|_| format!("field {key}: cannot parse {v:?}"))
 }
 
+/// Byte length of an `ident\s*=` prefix of `s`, through the `=`.
+fn pair_head(s: &str) -> Option<usize> {
+    let ident = s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_');
+    let after = s
+        .trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_')
+        .trim_start();
+    (ident && after.starts_with('=')).then(|| s.len() - after.len() + 1)
+}
+
+/// Split one comment-stripped, trimmed line into `(key, value)` pairs.
+/// A new pair starts only at whitespace followed by `ident\s*=`, so
+/// values may hold spaces (`params=b: 2, a: 1`) as long as no space is
+/// followed by something that reads as another key.
+fn split_pairs(line: &str) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs = Vec::new();
+    let mut rest = line;
+    while !rest.is_empty() {
+        let head = pair_head(rest).ok_or_else(|| format!("expected key=value, got {line:?}"))?;
+        let tail = &rest[head..];
+        let end = tail
+            .char_indices()
+            .filter(|(_, c)| c.is_whitespace())
+            .map(|(i, _)| i)
+            .find(|&i| pair_head(tail[i..].trim_start()).is_some())
+            .unwrap_or(tail.len());
+        pairs.push((rest[..head - 1].trim(), tail[..end].trim()));
+        rest = tail[end..].trim_start();
+    }
+    Ok(pairs)
+}
+
 impl JobSpec {
-    /// Parse a job from `key = value` text: one pair per line (or several
-    /// pairs on one line separated by whitespace when values carry no
-    /// spaces), `#` starts a comment. Unknown keys are errors — a typo'd
-    /// knob silently ignored would poison the cache key space.
+    /// Parse a job from `key = value` text: one pair per line, or
+    /// several pairs on one line separated by whitespace (a pair starts
+    /// at whitespace followed by `ident =`); `#` starts a comment.
+    /// Unknown keys are errors — a typo'd knob silently ignored would
+    /// poison the cache key space.
     pub fn parse(text: &str) -> Result<JobSpec, String> {
         let mut pairs = Vec::new();
         for raw in text.lines() {
             let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {line:?}"))?;
-            pairs.push((k.trim().to_string(), v.trim().to_string()));
+            pairs.extend(split_pairs(line)?);
         }
-        JobSpec::from_pairs(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        JobSpec::from_pairs(pairs)
     }
 
     /// Build a job from `(key, value)` pairs. Later pairs override
@@ -337,7 +358,6 @@ impl JobSpec {
                 }
                 "prof" => job.prof = v == "1" || v == "true",
                 "priority" => job.priority = Priority::parse(v)?,
-                "elide" => job.elide = Some(v == "1" || v == "true"),
                 "campaign" => job.campaign = v.to_string(),
                 other => return Err(format!("unknown job field {other:?}")),
             }
@@ -462,8 +482,11 @@ impl JobSpec {
     }
 
     /// The result-affecting fields in normal form: key-sorted, defaults
-    /// materialized, numbers re-rendered from their parsed values. Fields
-    /// that cannot change the result bytes (`prof`, `priority`) are
+    /// materialized, numbers re-rendered from their parsed values. The
+    /// keying rule: every field the job's launch reads is keyed — the
+    /// machine, `algo`, the fault plan and the workload's own parameters
+    /// — and `seed` is keyed for every workload. Fields that cannot
+    /// change the result bytes (`prof`, `priority`, `campaign`) are
     /// excluded, as are parameters the selected workload ignores.
     pub fn canonical(&self) -> String {
         let mut m: BTreeMap<&'static str, String> = BTreeMap::new();
@@ -476,7 +499,6 @@ impl JobSpec {
             Workload::Allreduce => {
                 m.insert("elems", self.elems.to_string());
                 m.insert("rounds", self.rounds.to_string());
-                m.insert("algo", self.algo.map_or("auto", |a| a.label()).to_string());
             }
             Workload::Exchange => {
                 m.insert("rounds", self.rounds.to_string());
@@ -502,6 +524,7 @@ impl JobSpec {
                 m.insert("src_hash", hash);
             }
         }
+        m.insert("algo", self.algo.map_or("auto", |a| a.label()).to_string());
         m.insert("chaos_rate", format!("{}", self.chaos_rate));
         m.insert("chaos_seed", self.chaos_seed.to_string());
         m.insert(
@@ -544,7 +567,7 @@ impl JobSpec {
     /// Render the job as a `key=value` file body that [`JobSpec::parse`]
     /// round-trips exactly — the spool wire format. Unlike
     /// [`JobSpec::canonical`] this keeps the non-result fields (`prof`,
-    /// `priority`, `elide`) a request carries through the daemon.
+    /// `priority`, `campaign`) a request carries through the daemon.
     pub fn to_file(&self) -> String {
         // `src_hash` is derived from `program` (parse would reject it
         // as an unknown knob); `params` are already folded into the
@@ -561,9 +584,6 @@ impl JobSpec {
         if self.priority != Priority::Normal {
             out.push_str(&format!("\npriority={}", self.priority.label()));
         }
-        if let Some(e) = self.elide {
-            out.push_str(&format!("\nelide={}", if e { 1 } else { 0 }));
-        }
         if !self.campaign.is_empty() {
             out.push_str(&format!("\ncampaign={}", self.campaign));
         }
@@ -579,7 +599,7 @@ mod tests {
     #[test]
     fn to_file_round_trips_through_parse() {
         let job = JobSpec::parse(
-            "workload=exchange\nnodes=2\ngpus=1\nrounds=3\nchaos_rate=0.05\nchaos_seed=9\nprof=1\npriority=low\nelide=0",
+            "workload=exchange\nnodes=2\ngpus=1\nrounds=3\nchaos_rate=0.05\nchaos_seed=9\nprof=1\npriority=low",
         )
         .unwrap();
         let back = JobSpec::parse(&job.to_file()).unwrap();
@@ -587,7 +607,35 @@ mod tests {
         assert_eq!(job.canonical(), back.canonical());
         assert!(back.prof);
         assert_eq!(back.priority, Priority::Low);
-        assert_eq!(back.elide, Some(false));
+    }
+
+    #[test]
+    fn a_new_pair_starts_only_at_whitespace_before_ident_eq() {
+        for (line, want) in [
+            ("key = value", vec![("key", "value")]),
+            ("params=b: 2, a: 1", vec![("params", "b: 2, a: 1")]),
+            ("fail_device=0:0, 1:0", vec![("fail_device", "0:0, 1:0")]),
+            (
+                "spec = psg   nodes = 1",
+                vec![("spec", "psg"), ("nodes", "1")],
+            ),
+            ("seed=58   rounds=1", vec![("seed", "58"), ("rounds", "1")]),
+            (
+                "fail_device=\tseed=3",
+                vec![("fail_device", ""), ("seed", "3")],
+            ),
+        ] {
+            assert_eq!(split_pairs(line).unwrap(), want, "{line:?}");
+        }
+        assert!(
+            split_pairs("seed=58 rounds").is_ok(),
+            "a bare word joins the value"
+        );
+        assert!(split_pairs("rounds 1=2").is_err());
+        // Multi-pair lines reach the same job as one pair per line.
+        let multi = JobSpec::parse("workload=allreduce   seed=58   rounds=1\ngpus = 2").unwrap();
+        let plain = JobSpec::parse("workload=allreduce\nseed=58\nrounds=1\ngpus=2").unwrap();
+        assert_eq!(multi.key(), plain.key());
     }
 
     #[test]
@@ -608,7 +656,7 @@ mod tests {
 
     #[test]
     fn irrelevant_and_excluded_fields_do_not_move_the_key() {
-        // Jacobi ignores elems/algo; prof/priority are observability only.
+        // Jacobi ignores elems; prof/priority are observability only.
         let a = JobSpec::parse("workload=jacobi\nn=64\nelems=128").unwrap();
         let b = JobSpec::parse("workload=jacobi\nn=64\nelems=4096\nprof=1\npriority=high").unwrap();
         assert_eq!(a.key(), b.key());

@@ -9,12 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use impacc_apps::{math_ok, run_jacobi_sink, JacobiParams};
+use impacc_apps::{allreduce_rounds, exchange, jacobi_task, JacobiParams};
 use impacc_array::scenarios;
-use impacc_core::{Launch, MpiOpts, RunSummary, RuntimeOptions, TaskCtx};
+use impacc_core::{Launch, RunSummary, RuntimeOptions, TaskCtx};
 use impacc_flight::FlightRecorder;
-use impacc_machine::{presets, FaultPlan, KernelCost, MachineSpec};
-use impacc_mpi::ReduceOp;
+use impacc_machine::{presets, FaultPlan, MachineSpec};
 use impacc_obs::{json, Recorder};
 
 use crate::job::{JobSpec, Workload};
@@ -44,69 +43,6 @@ pub fn machine_of(job: &JobSpec) -> Result<MachineSpec, String> {
         "titan" => presets::titan(job.nodes),
         other => return Err(format!("unknown machine preset {other:?}")),
     })
-}
-
-/// `rounds` verified Sum-allreduces of `elems` f64s; the job seed shifts
-/// every contribution so distinct seeds produce distinct payloads while
-/// staying integer-valued (all fold orders bit-identical).
-fn allreduce_rounds(tc: &TaskCtx, elems: usize, rounds: u32, seed: u64) {
-    let size = tc.size();
-    let shift = (seed % 1024) as f64;
-    for round in 0..rounds {
-        let vals = vec![(tc.rank() + round) as f64 + shift; elems];
-        let out = tc.mpi_allreduce_f64(&vals, ReduceOp::Sum);
-        let expect = (0..size).map(|r| (r + round) as f64 + shift).sum::<f64>();
-        assert!(
-            out.len() == elems && out.iter().all(|&x| x == expect),
-            "allreduce corrupted: want {expect}"
-        );
-    }
-}
-
-/// The fig-5-class two-rank exchange: kernel → copyout → send/recv →
-/// copyin → kernel, `rounds` times, every consume kernel asserting its
-/// input — so completion is itself a correctness result.
-fn exchange(tc: &TaskCtx, rounds: u32, seed: u64) {
-    const N: usize = 1 << 12; // 32 KiB per buffer
-    let peer = 1 - tc.rank();
-    let shift = (seed % 1024) as f64;
-    let me = tc.rank() as f64 + shift;
-    let buf0 = tc.malloc_f64(N);
-    let buf1 = tc.malloc_f64(N);
-    tc.acc_create(&buf0);
-    tc.acc_create(&buf1);
-    let cost = KernelCost::new(10.0 * N as f64, 16.0 * N as f64);
-    for round in 0..rounds {
-        let produce = {
-            let d = tc.dev_view(&buf0);
-            let v = me + round as f64;
-            move || {
-                if math_ok(&d) {
-                    d.write_f64s(0, &vec![v; N]);
-                }
-            }
-        };
-        let consume = {
-            let d = tc.dev_view(&buf1);
-            let expect = peer as f64 + shift + round as f64;
-            move || {
-                if math_ok(&d) {
-                    let got = d.read_f64s(0, N);
-                    assert!(
-                        got.iter().all(|&x| x == expect),
-                        "round {round}: corrupted payload after recovery"
-                    );
-                }
-            }
-        };
-        tc.acc_kernel(None, cost, produce);
-        tc.acc_update_host(&buf0, 0, buf0.len, None);
-        let sreq = tc.mpi_isend(&buf0, 0, buf0.len, peer, round as i32, MpiOpts::host());
-        tc.mpi_recv(&buf1, 0, buf1.len, peer, round as i32, MpiOpts::host());
-        sreq.wait(tc.ctx());
-        tc.acc_update_device(&buf1, 0, buf1.len, None);
-        tc.acc_kernel(None, cost, consume);
-    }
 }
 
 fn fault_plan(job: &JobSpec) -> Option<FaultPlan> {
@@ -139,110 +75,96 @@ pub fn run_job_flight(
 ) -> Result<JobOutcome, String> {
     let spec = machine_of(job)?;
     let rec = job.prof.then(Recorder::new);
-    let (key, campaign) = (job.key(), job.campaign.clone());
-    let summary = match job.workload {
-        Workload::Jacobi => {
-            let params = JacobiParams {
-                n: job.n,
-                iters: job.iters,
-                verify: false,
-            };
-            let sink = match (&rec, flight) {
-                (Some(r), Some(f)) => Some(impacc_flight::tee(f.sink(), r.sink())),
-                (Some(r), None) => Some(r.sink()),
-                (None, Some(f)) => Some(f.sink()),
-                (None, None) => None,
-            };
-            run_jacobi_sink(spec, RuntimeOptions::impacc(), None, sink, params)
-                .map_err(|e| format!("jacobi failed: {e:?}"))?
+    let key = job.key();
+    // DSL programs compile once on the submitting thread (the compiler
+    // is deterministic, but diagnostics belong here, not inside a
+    // simulated rank) and every rank walks the shared plan.
+    let dsl = match job.workload {
+        Workload::Dsl => Some(std::sync::Arc::new(job.dsl_compile()?)),
+        _ => None,
+    };
+    // Every job field this launch reads must be keyed by
+    // `JobSpec::canonical`: equal keys ⇒ byte-identical results.
+    let mut l = Launch::new(spec, RuntimeOptions::impacc());
+    if let Some(plan) = fault_plan(job) {
+        l = l.chaos(plan);
+    }
+    if let Some(algo) = job.algo {
+        l = l.coll_algo(algo);
+    }
+    if let Some(rec) = &rec {
+        l = l.recorder(rec);
+    }
+    if let Some(fr) = flight {
+        l = l.flight(fr).flight_label(format!("job_{key}"));
+    }
+    let (wl, elems, rounds, seed) = (job.workload, job.elems, job.rounds, job.seed);
+    let (n, iters, halo) = (job.n, job.iters, job.halo);
+    let marker = (key.clone(), job.campaign.clone());
+    let app = move |tc: &TaskCtx| {
+        if tc.rank() == 0 {
+            // Zero-width correlation marker: ties every span stream
+            // back to the job (and campaign) it belongs to.
+            // `Ctx::event` dispatches no scheduler event, so result
+            // bytes are untouched.
+            let (key, campaign) = marker.clone();
+            tc.ctx().event("marker", move || {
+                let mut attrs = vec![("phase", "job".to_string()), ("job", key)];
+                if !campaign.is_empty() {
+                    attrs.push(("campaign", campaign));
+                }
+                attrs
+            });
         }
-        wl => {
-            // DSL programs compile once on the submitting thread (the
-            // compiler is deterministic, but diagnostics belong here,
-            // not inside a simulated rank) and every rank walks the
-            // shared plan.
-            let dsl = match wl {
-                Workload::Dsl => Some(std::sync::Arc::new(job.dsl_compile()?)),
-                _ => None,
-            };
-            let mut l = Launch::new(spec, RuntimeOptions::impacc());
-            if let Some(plan) = fault_plan(job) {
-                l = l.chaos(plan);
+        match wl {
+            Workload::Allreduce => allreduce_rounds(tc, elems, rounds, seed),
+            // 32 KiB per buffer.
+            Workload::Exchange => exchange(tc, 1 << 12, rounds, seed),
+            Workload::Jacobi => jacobi_task(
+                tc,
+                &JacobiParams {
+                    n,
+                    iters,
+                    verify: false,
+                },
+            ),
+            Workload::Stencil3d => scenarios::stencil3d_task(
+                tc,
+                &scenarios::Stencil3dParams {
+                    n,
+                    iters,
+                    verify: false,
+                },
+                None,
+            ),
+            Workload::Stencil2d => scenarios::stencil2d_task(
+                tc,
+                &scenarios::Stencil2dParams {
+                    n,
+                    iters,
+                    halo,
+                    verify: false,
+                },
+                None,
+            ),
+            Workload::Redblack => scenarios::redblack_task(
+                tc,
+                &scenarios::RedBlackParams {
+                    n,
+                    iters,
+                    verify: false,
+                },
+                None,
+            ),
+            Workload::Dsl => {
+                let c = dsl.as_ref().expect("compiled before launch");
+                impacc_dsl::run_program(tc, c, None, false);
             }
-            if let Some(algo) = job.algo {
-                l = l.coll_algo(algo);
-            }
-            if let Some(elide) = job.elide {
-                l = l.elide_handoff(elide);
-            }
-            if let Some(rec) = &rec {
-                l = l.recorder(rec);
-            }
-            if let Some(fr) = flight {
-                l = l.flight(fr).flight_label(format!("job_{key}"));
-            }
-            let (elems, rounds, seed) = (job.elems, job.rounds, job.seed);
-            let (n, iters, halo) = (job.n, job.iters, job.halo);
-            let marker = (key.clone(), campaign.clone());
-            let app = move |tc: &TaskCtx| {
-                if tc.rank() == 0 {
-                    // Zero-width correlation marker: ties every span
-                    // stream back to the job (and campaign) it belongs
-                    // to. `Ctx::event` dispatches no scheduler event,
-                    // so result bytes are untouched.
-                    let (key, campaign) = marker.clone();
-                    tc.ctx().event("marker", move || {
-                        let mut attrs = vec![("phase", "job".to_string()), ("job", key)];
-                        if !campaign.is_empty() {
-                            attrs.push(("campaign", campaign));
-                        }
-                        attrs
-                    });
-                }
-                match wl {
-                    Workload::Allreduce => allreduce_rounds(tc, elems, rounds, seed),
-                    Workload::Exchange => exchange(tc, rounds, seed),
-                    Workload::Stencil3d => scenarios::stencil3d_task(
-                        tc,
-                        &scenarios::Stencil3dParams {
-                            n,
-                            iters,
-                            verify: false,
-                        },
-                        None,
-                    ),
-                    Workload::Stencil2d => scenarios::stencil2d_task(
-                        tc,
-                        &scenarios::Stencil2dParams {
-                            n,
-                            iters,
-                            halo,
-                            verify: false,
-                        },
-                        None,
-                    ),
-                    Workload::Redblack => scenarios::redblack_task(
-                        tc,
-                        &scenarios::RedBlackParams {
-                            n,
-                            iters,
-                            verify: false,
-                        },
-                        None,
-                    ),
-                    Workload::Dsl => {
-                        let c = dsl.as_ref().expect("compiled before launch");
-                        impacc_dsl::run_program(tc, c, None, false);
-                    }
-                    Workload::Jacobi => unreachable!("handled above"),
-                }
-            };
-            l.run(app).map_err(|e| format!("run failed: {e:?}"))?
         }
     };
-    let prof = rec.map(|rec| {
-        impacc_prof::analyze(&rec.spans(), &rec.edges()).to_json(&format!("job_{}", job.key()))
-    });
+    let summary = l.run(app).map_err(|e| format!("run failed: {e:?}"))?;
+    let prof = rec
+        .map(|rec| impacc_prof::analyze(&rec.spans(), &rec.edges()).to_json(&format!("job_{key}")));
     let metrics = summary
         .report
         .metrics
@@ -320,23 +242,35 @@ mod tests {
     }
 
     #[test]
-    fn elide_toggle_never_moves_the_key_or_the_bytes() {
-        // Handoff elision is bit-identical by the fastpath determinism
-        // contract, so it is an execution hint like `prof`: same content
-        // address, same result bytes, either way.
-        let plain = JobSpec::parse("workload=allreduce\nelems=32\nrounds=1\ngpus=2").unwrap();
-        let on = JobSpec::parse("workload=allreduce\nelems=32\nrounds=1\ngpus=2\nelide=1").unwrap();
-        let off =
-            JobSpec::parse("workload=allreduce\nelems=32\nrounds=1\ngpus=2\nelide=0").unwrap();
-        assert_eq!(on.elide, Some(true));
-        assert_eq!(off.elide, Some(false));
-        assert_eq!(plain.key(), on.key(), "elide is result-invariant");
-        assert_eq!(plain.key(), off.key());
-        let a = run_job(&plain).unwrap();
-        let b = run_job(&on).unwrap();
-        let c = run_job(&off).unwrap();
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.result, c.result);
+    fn jacobi_jobs_take_the_shared_launch_path() {
+        // Chaos reaches a Jacobi job like any other workload...
+        let job = JobSpec::parse(
+            "workload=jacobi\nnodes=2\ngpus=2\nn=16\niters=2\nchaos_rate=0.2\nchaos_seed=5",
+        )
+        .unwrap();
+        let a = run_job(&job).unwrap();
+        let faults: u64 = a
+            .metrics
+            .iter()
+            .filter(|(k, _)| k.starts_with("chaos_"))
+            .map(|(_, v)| v)
+            .sum();
+        assert!(faults > 0, "chaos plan never reached the jacobi run");
+        assert_eq!(a.result, run_job(&job).unwrap().result, "seeded chaos");
+
+        // ...and so do the job marker and the per-job flight ring.
+        let job = JobSpec::parse("workload=jacobi\nn=16\niters=1\ncampaign=c1").unwrap();
+        let fr = FlightRecorder::with_capacity(1 << 16);
+        run_job_flight(&job, Some(&fr)).unwrap();
+        let key = job.key();
+        let has =
+            |s: &impacc_obs::Span, k: &str, v: &str| s.attrs.iter().any(|(a, b)| *a == k && b == v);
+        assert!(
+            fr.snapshot()
+                .iter()
+                .any(|s| s.actor == "rank0" && has(s, "job", &key) && has(s, "campaign", "c1")),
+            "rank 0's job marker must be in the flight ring"
+        );
     }
 
     #[test]
